@@ -66,6 +66,7 @@ int main(int argc, char** argv) {
   wspec.join_selectivity = 0.025;
   wspec.seed = 5;
   const Workload workload = GenerateWorkload(wspec);
+  const std::vector<Tuple> feed = MergedArrivals(workload);
   BuildOptions options;
   options.condition = workload.condition;
 
@@ -78,8 +79,10 @@ int main(int argc, char** argv) {
     chain.spec = spec;
     chain.partition = GroupedPartition(spec.num_boundaries(), groups);
     ValidatePartition(chain.spec, chain.partition);
+    // Grouped partitions are neither Mem-Opt nor CPU-Opt, so no Engine
+    // objective builds them: drive the hand-built plan directly.
     BuiltPlan built = BuildStateSlicePlan(queries, chain, options);
-    const BenchRun run = RunBench(&built, workload, 30);
+    const BenchRun run = ReplayPlan(&built, feed, 30);
     const double tuples = static_cast<double>(run.stats.input_tuples);
     std::printf("%7d %12.1f %12.2f %12.2f %12.1f %12.1f\n",
                 chain.partition.num_slices(),
@@ -162,13 +165,14 @@ int main(int argc, char** argv) {
     WorkloadSpec w2 = wspec;
     w2.duration_s = part2_duration_s;
     const Workload load = GenerateWorkload(w2);
-    BuildOptions opt;
-    opt.condition = load.condition;
-    BuiltPlan chain_plan =
-        BuildStateSlicePlan(qs, BuildMemOptChain(qs), opt);
-    const BenchRun chain_run = RunBench(&chain_plan, load, 30);
-    BuiltPlan unshared_plan = BuildUnsharedPlans(qs, opt);
-    const BenchRun unshared_run = RunBench(&unshared_plan, load, 30);
+    const std::vector<Tuple> load_feed = MergedArrivals(load);
+    const BenchRun chain_run = ReplayEngine(
+        {.strategy = SharingStrategy::kStateSlice,
+         .condition = load.condition},
+        qs, load_feed, 30);
+    const BenchRun unshared_run = ReplayEngine(
+        {.strategy = SharingStrategy::kUnshared, .condition = load.condition},
+        qs, load_feed, 30);
     std::printf("%8d %16.0f %16.0f %15.2fx\n", n,
                 chain_run.comparisons_per_vsec,
                 unshared_run.comparisons_per_vsec,

@@ -104,24 +104,18 @@ int main(int argc, char** argv) {
     wspec.join_selectivity = s.s1;
     wspec.seed = 7;
     const Workload workload = GenerateWorkload(wspec);
-    BuildOptions options;
-    options.condition = workload.condition;
-
-    {
-      BuiltPlan built = BuildPullUpPlan(queries, options);
-      Report(&report, s, "Selection-PullUp", PullUpCost(p),
-             RunBench(&built, workload, s.w2));
-    }
-    {
-      BuiltPlan built = BuildPushDownPlan(queries, options);
-      Report(&report, s, "Selection-PushDown", PushDownCost(p),
-             RunBench(&built, workload, s.w2));
-    }
-    {
-      BuiltPlan built =
-          BuildStateSlicePlan(queries, BuildMemOptChain(queries), options);
-      Report(&report, s, "State-Slice-Chain", StateSliceCost(p),
-             RunBench(&built, workload, s.w2));
+    const std::vector<Tuple> feed = MergedArrivals(workload);
+    const struct {
+      SharingStrategy strategy;
+      CostEstimate predicted;
+    } arms[] = {{SharingStrategy::kPullUp, PullUpCost(p)},
+                {SharingStrategy::kPushDown, PushDownCost(p)},
+                {SharingStrategy::kStateSlice, StateSliceCost(p)}};
+    for (const auto& arm : arms) {
+      Report(&report, s, Name(arm.strategy), arm.predicted,
+             ReplayEngine({.strategy = arm.strategy,
+                           .condition = workload.condition},
+                          queries, feed, s.w2));
     }
     std::printf("\n");
   }

@@ -70,17 +70,17 @@ int main(int argc, char** argv) {
       wspec.join_selectivity = panel.s1;
       wspec.seed = 17000 + static_cast<uint64_t>(rate);
       const Workload workload = GenerateWorkload(wspec);
-      BuildOptions options;
-      options.condition = workload.condition;
+      const std::vector<Tuple> feed = MergedArrivals(workload);
 
       double mem[3] = {};
-      const Strategy order[] = {Strategy::kPullUp,
-                                Strategy::kStateSliceChain,
-                                Strategy::kPushDown};
+      const SharingStrategy order[] = {SharingStrategy::kPullUp,
+                                       SharingStrategy::kStateSlice,
+                                       SharingStrategy::kPushDown};
       for (int s = 0; s < 3; ++s) {
-        BuiltPlan built = BuildStrategy(order[s], queries, options);
         // Warm-up: one full largest window (30 s).
-        const BenchRun run = RunBench(&built, workload, /*warmup_s=*/30);
+        const BenchRun run = ReplayEngine(
+            {.strategy = order[s], .condition = workload.condition},
+            queries, feed, /*warmup_s=*/30);
         mem[s] = run.avg_state_tuples;
         JsonObject& row = report.AddRow();
         Set(&row, "panel", JsonScalar::Str(panel.label));

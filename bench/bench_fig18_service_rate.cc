@@ -75,16 +75,16 @@ int main(int argc, char** argv) {
       wspec.join_selectivity = panel.s1;
       wspec.seed = 18000 + static_cast<uint64_t>(rate);
       const Workload workload = GenerateWorkload(wspec);
-      BuildOptions options;
-      options.condition = workload.condition;
+      const std::vector<Tuple> feed = MergedArrivals(workload);
 
       BenchRun runs[3];
-      const Strategy order[] = {Strategy::kPullUp,
-                                Strategy::kStateSliceChain,
-                                Strategy::kPushDown};
+      const SharingStrategy order[] = {SharingStrategy::kPullUp,
+                                       SharingStrategy::kStateSlice,
+                                       SharingStrategy::kPushDown};
       for (int s = 0; s < 3; ++s) {
-        BuiltPlan built = BuildStrategy(order[s], queries, options);
-        runs[s] = RunBench(&built, workload, /*warmup_s=*/30);
+        runs[s] = ReplayEngine(
+            {.strategy = order[s], .condition = workload.condition},
+            queries, feed, /*warmup_s=*/30);
         JsonObject& row = report.AddRow();
         Set(&row, "panel", JsonScalar::Str(panel.label));
         Set(&row, "s1", JsonScalar::Num(panel.s1));

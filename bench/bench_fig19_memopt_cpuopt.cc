@@ -62,8 +62,9 @@ int main(int argc, char** argv) {
   for (const Panel& panel : kPanels) {
     const auto queries = MakeSection73Queries(panel.dist, panel.num_queries);
     std::printf("=== %s ===\n", panel.label);
-    // Both chains are built once per query set, like the paper's fixed
-    // shared plans; the optimizer is calibrated at the 40 t/s midpoint.
+    // One fixed chain per objective and query set, like the paper's shared
+    // plans (the engine builds the same chains from the same inputs); the
+    // CPU-Opt optimizer is calibrated at the 40 t/s midpoint.
     ChainCostParams params;
     params.lambda_a = params.lambda_b = 40;
     params.s1 = kS1;
@@ -82,19 +83,23 @@ int main(int argc, char** argv) {
       wspec.join_selectivity = kS1;
       wspec.seed = 19000 + static_cast<uint64_t>(rate);
       const Workload workload = GenerateWorkload(wspec);
-      BuildOptions options;
-      options.condition = workload.condition;
+      const std::vector<Tuple> feed = MergedArrivals(workload);
+      const Engine::Options mem_options = {
+          .objective = ChainObjective::kMemOpt,
+          .condition = workload.condition};
+      const Engine::Options cpu_options = {
+          .objective = ChainObjective::kCpuOpt,
+          .condition = workload.condition,
+          .cost_params = params};
 
       // Two repetitions, keep the faster wall clock (scheduling noise).
       BenchRun mem_run, cpu_run;
       for (int rep = 0; rep < 2; ++rep) {
-        BuiltPlan mem_plan = BuildStateSlicePlan(queries, mem_opt, options);
-        const BenchRun r1 = RunBench(&mem_plan, workload, 30);
+        const BenchRun r1 = ReplayEngine(mem_options, queries, feed, 30);
         if (rep == 0 || r1.stats.wall_seconds < mem_run.stats.wall_seconds) {
           mem_run = r1;
         }
-        BuiltPlan cpu_plan = BuildStateSlicePlan(queries, cpu_opt, options);
-        const BenchRun r2 = RunBench(&cpu_plan, workload, 30);
+        const BenchRun r2 = ReplayEngine(cpu_options, queries, feed, 30);
         if (rep == 0 || r2.stats.wall_seconds < cpu_run.stats.wall_seconds) {
           cpu_run = r2;
         }

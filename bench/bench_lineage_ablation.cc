@@ -62,15 +62,13 @@ int main(int argc, char** argv) {
     wspec.join_selectivity = 0.1;
     wspec.seed = 42;
     const Workload workload = GenerateWorkload(wspec);
+    const std::vector<Tuple> feed = MergedArrivals(workload);
 
     BenchRun runs[2];
     for (int mode = 0; mode < 2; ++mode) {
-      BuildOptions options;
-      options.condition = workload.condition;
-      options.use_lineage = mode == 1;
-      BuiltPlan built =
-          BuildStateSlicePlan(queries, BuildMemOptChain(queries), options);
-      runs[mode] = RunBench(&built, workload, 20);
+      runs[mode] = ReplayEngine(
+          {.use_lineage = mode == 1, .condition = workload.condition},
+          queries, feed, 20);
     }
     SLICE_CHECK_EQ(runs[0].stats.results_delivered,
                    runs[1].stats.results_delivered);

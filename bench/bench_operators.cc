@@ -144,7 +144,8 @@ void BM_SlicedWindowJoinSlice(benchmark::State& state) {
 }
 BENCHMARK(BM_SlicedWindowJoinSlice)->Arg(5)->Arg(20);
 
-// End-to-end shared plan throughput (3 queries, Mem-Opt chain).
+// End-to-end shared plan throughput (3 queries, Mem-Opt chain): one
+// Engine session per iteration, fed tuple by tuple.
 void BM_EndToEndStateSlicePlan(benchmark::State& state) {
   const auto queries =
       MakeSection72Queries(WindowDistribution3::kUniform, 0.5);
@@ -153,22 +154,18 @@ void BM_EndToEndStateSlicePlan(benchmark::State& state) {
   wspec.duration_s = 10;
   wspec.join_selectivity = 0.1;
   const Workload workload = GenerateWorkload(wspec);
+  const std::vector<Tuple> feed = MergedArrivals(workload);
   for (auto _ : state) {
     state.PauseTiming();
-    BuildOptions options;
-    options.condition = workload.condition;
-    BuiltPlan built =
-        BuildStateSlicePlan(queries, BuildMemOptChain(queries), options);
-    StreamSource sa("A", workload.stream_a);
-    StreamSource sb("B", workload.stream_b);
-    Executor exec(built.plan.get(),
-                  {{&sa, built.entry}, {&sb, built.entry}});
+    Engine engine({.condition = workload.condition});
+    for (const ContinuousQuery& q : queries) engine.RegisterQuery(q);
     state.ResumeTiming();
-    benchmark::DoNotOptimize(exec.Run().events_processed);
+    for (const Tuple& t : feed) engine.Push(t.side, t);
+    engine.Finish();
+    benchmark::DoNotOptimize(engine.input_tuples());
   }
-  state.SetItemsProcessed(
-      state.iterations() *
-      (workload.stream_a.size() + workload.stream_b.size()));
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<int64_t>(feed.size()));
 }
 BENCHMARK(BM_EndToEndStateSlicePlan);
 

@@ -34,22 +34,18 @@ struct ScalingRun {
   std::vector<double> stage_busy;
 };
 
-// Builds a fresh plan (join state is stateful; every run needs its own)
-// and executes it in the given mode via the shared bench harness, so the
-// JSON rows carry the full derived-metric vocabulary (service rates,
-// comparisons/s, state averages), not just wall-clock throughput.
+// Replays the workload through a fresh Engine session in the given mode
+// via the shared bench harness, so the JSON rows carry the full
+// derived-metric vocabulary (service rates, comparisons/s, state
+// averages), not just wall-clock throughput.
 ScalingRun RunOnce(const std::vector<ContinuousQuery>& queries,
                    const Workload& workload, ExecutionMode mode,
                    int workers, double warmup_s) {
-  BuildOptions options;
-  options.condition = workload.condition;
-  BuiltPlan built =
-      BuildStateSlicePlan(queries, BuildMemOptChain(queries), options);
-  ExecutorOptions exec_options;
-  exec_options.mode = mode;
-  exec_options.worker_threads = workers;
   ScalingRun out;
-  out.run = RunBench(&built, workload, warmup_s, exec_options);
+  out.run = ReplayEngine({.mode = mode,
+                          .worker_threads = workers,
+                          .condition = workload.condition},
+                         queries, MergedArrivals(workload), warmup_s);
   out.stages = out.run.stats.worker_threads;
   out.edge_events = out.run.stats.parallel_edge_events;
   out.edge_hwm = out.run.stats.parallel_edge_high_water_mark;

@@ -80,30 +80,21 @@ MultiWorkload EquiMultiWorkload(const WorkloadSpec& spec, int num_streams,
   return w;
 }
 
-BenchRun RunTreeBench(BuiltPlan* built, const MultiWorkload& workload,
-                      double warmup_s) {
-  std::vector<StreamSource> sources;
-  sources.reserve(workload.streams.size());
-  for (size_t s = 0; s < workload.streams.size(); ++s) {
-    sources.emplace_back("S" + std::to_string(s), workload.streams[s]);
+// One end-to-end arm. The indexed arm is an ordinary Engine session (the
+// engine always builds key-indexed plans); the nested-loop reference arm
+// turns the index off, which only a hand-built plan can.
+BenchRun RunArm(bool use_index, const std::vector<ContinuousQuery>& queries,
+                const JoinCondition& condition,
+                const std::vector<Tuple>& feed, double warmup_s) {
+  if (use_index) {
+    return ReplayEngine({.condition = condition}, queries, feed, warmup_s);
   }
-  std::vector<SourceBinding> bindings;
-  bindings.reserve(sources.size());
-  for (StreamSource& source : sources) {
-    bindings.push_back(SourceBinding{&source, built->entry});
-  }
-  ExecutorOptions exec_options;
-  exec_options.cost_snapshot_time = SecondsToTicks(warmup_s);
-  Executor exec(built->plan.get(), bindings, exec_options);
-  for (CountingSink* sink : built->sinks) {
-    if (sink != nullptr) exec.AddSink(sink);
-  }
-  BenchRun run;
-  run.stats = exec.Run();
-  run.avg_state_tuples = run.stats.AvgStateTuples(SecondsToTicks(warmup_s));
-  run.comparisons_per_vsec = run.stats.ComparisonsPerVirtualSecond();
-  run.service_rate_wall = run.stats.ServiceRate();
-  return run;
+  BuildOptions options;
+  options.condition = condition;
+  options.use_key_index = false;
+  BuiltPlan built =
+      BuildStateSlicePlan(queries, BuildMemOptTree(queries), options);
+  return ReplayPlan(&built, feed, warmup_s);
 }
 
 // The CI gate medians throughput_tuples_per_wall_sec across a report's
@@ -207,16 +198,13 @@ int main(int argc, char** argv) {
     wspec.duration_s = duration_s;
     wspec.seed = 20060912 + static_cast<uint64_t>(domain);
     const Workload workload = EquiWorkload(wspec, domain);
+    const std::vector<Tuple> feed = MergedArrivals(workload);
 
     double tps[2] = {0, 0};
     uint64_t logical[2] = {0, 0};
     for (const bool use_index : {false, true}) {
-      BuildOptions options;
-      options.condition = workload.condition;
-      options.use_key_index = use_index;
-      BuiltPlan built =
-          BuildStateSlicePlan(queries, BuildMemOptChain(queries), options);
-      const BenchRun run = RunBench(&built, workload, warmup_s);
+      const BenchRun run = RunArm(use_index, queries, workload.condition,
+                                  feed, warmup_s);
       const double tuples = static_cast<double>(run.stats.input_tuples);
       tps[use_index ? 1 : 0] =
           run.stats.wall_seconds > 0 ? tuples / run.stats.wall_seconds : 0;
@@ -266,15 +254,12 @@ int main(int argc, char** argv) {
     wspec.duration_s = duration_s;
     wspec.seed = 7 + static_cast<uint64_t>(domain);
     const MultiWorkload workload = EquiMultiWorkload(wspec, 3, domain);
+    const std::vector<Tuple> feed = MergedArrivals(workload);
 
     double tps[2] = {0, 0};
     for (const bool use_index : {false, true}) {
-      BuildOptions options;
-      options.condition = workload.condition;
-      options.use_key_index = use_index;
-      BuiltPlan built = BuildStateSlicePlan(
-          tree_queries, BuildMemOptTree(tree_queries), options);
-      const BenchRun run = RunTreeBench(&built, workload, warmup_s);
+      const BenchRun run = RunArm(use_index, tree_queries,
+                                  workload.condition, feed, warmup_s);
       const double tuples = static_cast<double>(run.stats.input_tuples);
       tps[use_index ? 1 : 0] =
           run.stats.wall_seconds > 0 ? tuples / run.stats.wall_seconds : 0;

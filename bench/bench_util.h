@@ -11,8 +11,12 @@
 #ifndef STATESLICE_BENCH_BENCH_UTIL_H_
 #define STATESLICE_BENCH_BENCH_UTIL_H_
 
+#include <chrono>
 #include <cstdio>
+#include <cstdlib>
+#include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bench/bench_report.h"
@@ -34,28 +38,24 @@ struct BenchRun {
   double service_rate_wall = 0.0;     // results per wall-clock second
 };
 
-// Runs `built` over `workload`, registering every sink; warm-up for memory
-// averaging and steady-state CPU accounting excludes the first `warmup_s`
-// virtual seconds. Pass `exec_options` to override the execution mode
-// (e.g. ExecutionMode::kParallel); the cost-snapshot time is always set
-// from `warmup_s`.
-inline BenchRun RunBench(BuiltPlan* built, const Workload& workload,
-                         double warmup_s, ExecutorOptions exec_options = {}) {
-  StreamSource source_a("A", workload.stream_a);
-  StreamSource source_b("B", workload.stream_b);
-  exec_options.cost_snapshot_time = SecondsToTicks(warmup_s);
-  Executor exec(built->plan.get(),
-                {{&source_a, built->entry}, {&source_b, built->entry}},
-                exec_options);
-  for (CountingSink* sink : built->sinks) {
-    if (sink != nullptr) exec.AddSink(sink);
-  }
+// Derives a BenchRun from a finished run. `warmup_cost` holds the cost
+// counters when the feed first reached `warmup_s` (empty if it never did);
+// memory averaging and steady-state CPU exclude the warm-up.
+inline BenchRun Summarize(RunStats stats,
+                          const std::optional<CostCounters>& warmup_cost,
+                          double warmup_s) {
   BenchRun run;
-  run.stats = exec.Run();
-  run.avg_state_tuples = run.stats.AvgStateTuples(SecondsToTicks(warmup_s));
+  run.stats = std::move(stats);
+  const TimePoint warmup = SecondsToTicks(warmup_s);
+  run.avg_state_tuples = run.stats.AvgStateTuples(warmup);
   run.comparisons_per_vsec = run.stats.ComparisonsPerVirtualSecond();
-  run.steady_comparisons_per_vsec =
-      run.stats.SteadyComparisonsPerVirtualSecond();
+  run.steady_comparisons_per_vsec = run.comparisons_per_vsec;
+  if (warmup_cost && run.stats.virtual_end_time > warmup) {
+    run.steady_comparisons_per_vsec =
+        (static_cast<double>(run.stats.cost.Total()) -
+         static_cast<double>(warmup_cost->Total())) /
+        TicksToSeconds(run.stats.virtual_end_time - warmup);
+  }
   const double cpu_seconds =
       static_cast<double>(run.stats.cost.Total()) / kComparisonsPerSec;
   run.service_rate_modeled =
@@ -64,6 +64,95 @@ inline BenchRun RunBench(BuiltPlan* built, const Workload& workload,
           : 0.0;
   run.service_rate_wall = run.stats.ServiceRate();
   return run;
+}
+
+// Replays `feed` (one globally ordered arrival feed: MergedArrivals of a
+// workload) through one Engine session serving `queries`: one Push per
+// tuple, a Snapshot when the feed first reaches `warmup_s` (steady-state
+// CPU accounting), then Finish. Only the push loop and Finish are timed.
+// Exits the process with status 1 if the engine rejects a query or
+// bounces or drops an arrival: a bench must never measure a partial feed.
+inline BenchRun ReplayEngine(const Engine::Options& options,
+                             const std::vector<ContinuousQuery>& queries,
+                             const std::vector<Tuple>& feed,
+                             double warmup_s) {
+  Engine engine(options);
+  for (const ContinuousQuery& q : queries) {
+    if (!engine.RegisterQuery(q).valid()) {
+      std::fprintf(stderr, "error: query %s rejected: %s\n", q.name.c_str(),
+                   engine.last_error().c_str());
+      std::exit(1);
+    }
+  }
+  const TimePoint warmup = SecondsToTicks(warmup_s);
+  std::optional<CostCounters> warmup_cost;
+  const auto start = std::chrono::steady_clock::now();
+  for (const Tuple& t : feed) {
+    if (!warmup_cost && warmup > 0 && t.timestamp >= warmup) {
+      warmup_cost = engine.Snapshot().cost;
+    }
+    engine.Push(t.side, t);
+  }
+  engine.Finish();
+  const double wall = std::chrono::duration<double>(
+                          std::chrono::steady_clock::now() - start)
+                          .count();
+  if (engine.rejected_tuples() > 0 || engine.dropped_tuples() > 0) {
+    std::fprintf(stderr,
+                 "error: engine rejected %llu and dropped %llu of %zu "
+                 "arrivals (%s)\n",
+                 static_cast<unsigned long long>(engine.rejected_tuples()),
+                 static_cast<unsigned long long>(engine.dropped_tuples()),
+                 feed.size(), engine.last_error().c_str());
+    std::exit(1);
+  }
+  RunStats stats = engine.Snapshot();
+  stats.wall_seconds = wall;
+  return Summarize(std::move(stats), warmup_cost, warmup_s);
+}
+
+// ReplayEngine's deterministic discipline for a plan Engine does not
+// build (hand-drawn partitions, the nested-loop probe arm): per-second
+// memory samples, the warm-up cost snapshot, then a closing sample and
+// the FinishAll flush, exactly as an Engine session takes them.
+inline BenchRun ReplayPlan(BuiltPlan* built, const std::vector<Tuple>& feed,
+                           double warmup_s) {
+  QueryPlan* plan = built->plan.get();
+  RoundRobinScheduler scheduler(plan);
+  RunStats stats;
+  stats.input_tuples = feed.size();
+  const TimePoint warmup = SecondsToTicks(warmup_s);
+  std::optional<CostCounters> warmup_cost;
+  TimePoint next_sample = 0;
+  const auto start = std::chrono::steady_clock::now();
+  for (const Tuple& t : feed) {
+    for (; t.timestamp >= next_sample; next_sample += kTicksPerSecond) {
+      stats.memory_samples.push_back(MemorySample{
+          next_sample, plan->TotalStateSize(), plan->TotalQueueSize()});
+    }
+    if (!warmup_cost && warmup > 0 && t.timestamp >= warmup) {
+      warmup_cost = plan->cost_counters();
+    }
+    built->entry->Push(t);
+    scheduler.RunUntilQuiescent();
+    stats.virtual_end_time = t.timestamp;
+  }
+  stats.memory_samples.push_back(MemorySample{stats.virtual_end_time,
+                                              plan->TotalStateSize(),
+                                              plan->TotalQueueSize()});
+  plan->FinishAll();
+  RoundRobinScheduler flush(plan);
+  flush.RunUntilQuiescent();
+  stats.wall_seconds = std::chrono::duration<double>(
+                           std::chrono::steady_clock::now() - start)
+                           .count();
+  stats.events_processed =
+      scheduler.total_processed() + flush.total_processed();
+  stats.cost = plan->cost_counters();
+  for (const CountingSink* sink : built->sinks) {
+    if (sink != nullptr) stats.results_delivered += sink->result_count();
+  }
+  return Summarize(std::move(stats), warmup_cost, warmup_s);
 }
 
 // Flattens one run's measurements into a report row: throughput, CPU in
@@ -94,33 +183,19 @@ inline void AddRunMetrics(JsonObject* row, const BenchRun& run) {
       JsonScalar::Num(static_cast<double>(run.stats.MaxStateTuples())));
 }
 
-// The three shared strategies compared in Figures 17/18.
-enum class Strategy { kPullUp, kPushDown, kStateSliceChain };
-
-inline const char* Name(Strategy s) {
+// Row labels of the sharing strategies compared in Figures 17/18.
+inline const char* Name(SharingStrategy s) {
   switch (s) {
-    case Strategy::kPullUp:
+    case SharingStrategy::kPullUp:
       return "Selection-PullUp";
-    case Strategy::kPushDown:
+    case SharingStrategy::kPushDown:
       return "Selection-PushDown";
-    case Strategy::kStateSliceChain:
+    case SharingStrategy::kStateSlice:
       return "State-Slice-Chain";
+    case SharingStrategy::kUnshared:
+      return "Unshared";
   }
   return "?";
-}
-
-inline BuiltPlan BuildStrategy(Strategy s,
-                               const std::vector<ContinuousQuery>& queries,
-                               const BuildOptions& options) {
-  switch (s) {
-    case Strategy::kPullUp:
-      return BuildPullUpPlan(queries, options);
-    case Strategy::kPushDown:
-      return BuildPushDownPlan(queries, options);
-    case Strategy::kStateSliceChain:
-      return BuildStateSlicePlan(queries, BuildMemOptChain(queries), options);
-  }
-  SLICE_CHECK(false);
 }
 
 }  // namespace stateslice::bench

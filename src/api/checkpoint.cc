@@ -1183,6 +1183,15 @@ bool Engine::Restore(std::string_view snapshot) {
         chain.spec.queries_at_boundary[static_cast<size_t>(k)].push_back(
             q.id);
       }
+      // A chain ends at its widest window, so the last slice serves a
+      // query (the builder CHECKs this).
+      const std::vector<int>& ends = chain.partition.slice_end_boundaries;
+      bool last_slice_read = false;
+      for (size_t k = ends.size() > 1 ? ends[ends.size() - 2] + 1 : 0;
+           k < boundary_count; ++k) {
+        last_slice_read |= !chain.spec.queries_at_boundary[k].empty();
+      }
+      if (!last_slice_read) return fail("corrupt chain: last slice unread");
     }
 
     // Build the plan skeleton — exactly BuildPlan's recipe, except the

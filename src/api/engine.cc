@@ -12,12 +12,17 @@
 namespace stateslice {
 namespace {
 
-// Folds `from` into `into` category by category (CostCounters are atomic
-// sums, not directly addable).
+// Folds `from` into `into` category by category, logical and physical
+// (CostCounters are atomic sums, not directly addable).
 void AddCost(const CostCounters& from, CostCounters* into) {
   for (int c = 0; c < static_cast<int>(CostCategory::kCategoryCount); ++c) {
     const auto category = static_cast<CostCategory>(c);
     into->Add(category, from.Get(category));
+  }
+  for (int c = 0; c < static_cast<int>(PhysCategory::kPhysCategoryCount);
+       ++c) {
+    const auto category = static_cast<PhysCategory>(c);
+    into->AddPhysical(category, from.GetPhysical(category));
   }
 }
 
@@ -548,7 +553,6 @@ void Engine::StartParallel() {
                          : static_cast<int>(hw > 1 ? hw - 1 : 1);
   popt.edge_capacity = options_.parallel_edge_capacity;
   if (options_.run_length > 0) popt.quantum = options_.run_length;
-  popt.finish_at_end = false;  // the engine flushes explicitly at teardown
   par_scheduler_ =
       std::make_unique<ParallelScheduler>(built_.plan.get(), popt);
   par_scheduler_->Start();

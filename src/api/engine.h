@@ -1,8 +1,8 @@
 // Engine: the long-lived streaming facade over the stateslice library.
 //
-// The low-level layer (chain builders + shared-plan builders + Executor) is
-// batch-shaped: callers pre-materialize tuple vectors, wire sources and
-// sinks by hand, and drive ChainMigrator between feed steps. The paper's
+// The low-level layer (chain builders + shared-plan builders + schedulers)
+// is batch-shaped: callers build a fixed plan, feed its entry queue and
+// drive ChainMigrator between feed steps by hand. The paper's
 // setting, however, is a *continuously running* multi-query system where
 // subscriptions enter and leave while the shared sliced chain keeps serving
 // results (Section 5.3, Section 7). Engine packages that lifecycle:
@@ -136,12 +136,13 @@ class Engine {
     size_t parallel_edge_capacity = 256;
     JoinCondition condition = JoinCondition::EquiKey();
     // CPU-Opt objective inputs (stream rates, S1, C_sys).
-    ChainCostParams cost_params;
+    ChainCostParams cost_params{};
     // Virtual-time spacing of memory samples (deterministic mode).
     Duration sample_interval = kTicksPerSecond;
     // Deterministic mode: process each pushed tuple to quiescence (the
-    // executor's feed_batch=1 discipline). When false, Push only enqueues
-    // and the caller drives processing with Poll()/Drain().
+    // tuple-at-a-time discipline the paper's analysis assumes). When
+    // false, Push only enqueues and the caller drives processing with
+    // Poll()/Drain().
     bool auto_drain = true;
     // Run length: max events a scheduler visit drains from one queue into
     // an Operator::OnRun call. 0 keeps the per-mode defaults (8 for the

@@ -506,16 +506,42 @@ void ChainMigrator::RemoveQuery(int query_id) {
   built_->sinks[query_id] = nullptr;
   built_->collectors[query_id] = nullptr;
 
-  // Deregister from the chain spec (the boundary itself stays; compact
-  // with MergeSlices as Section 5.3 suggests).
+  // Deregister from the chain spec. The query entry stays (ids are
+  // stable); interior boundaries stay too and can be compacted with
+  // MergeSlices, as Section 5.3 suggests.
   ChainSpec& spec = built_->chain.spec;
   if (query_id < static_cast<int>(spec.query_boundary.size())) {
     std::vector<int>& at = spec.queries_at_boundary[
         spec.query_boundary[query_id]];
     at.erase(std::remove(at.begin(), at.end(), query_id), at.end());
+    spec.query_boundary[query_id] = -1;
   }
-  // The query entry stays (ids are stable); slices keep running and can be
-  // compacted with MergeSlices, as Section 5.3 suggests.
+  // Removing the widest query leaves tail slices that no remaining query
+  // reads: drop them (freeing their state) so the chain again ends at a
+  // boundary that carries queries, as every built chain does.
+  while (built_->slices.size() > 1) {
+    const BuiltSlice& tail = built_->slices.back();
+    bool read = false;
+    for (int k = tail.start_boundary + 1; k <= tail.end_boundary; ++k) {
+      read = read || !spec.queries_at_boundary[k].empty();
+    }
+    if (read) break;
+    if (tail.result_producer != static_cast<Operator*>(tail.join)) {
+      EventQueue* rq = tail.result_producer->input(0);
+      tail.join->DetachOutput(SlicedWindowJoin::kResultPort, rq);
+      plan->RetireQueue(rq);
+      plan->RemoveOperatorWhileRunning(tail.result_producer);
+    }
+    plan->RemoveOperatorWhileRunning(tail.join);
+    built_->slices.pop_back();
+    BuiltSlice& last = built_->slices.back();
+    last.join->DetachOutput(SlicedWindowJoin::kNextPort, last.next_queue);
+    plan->RetireQueue(last.next_queue);
+    last.next_queue = nullptr;
+    spec.boundaries.resize(static_cast<size_t>(last.end_boundary) + 1);
+    spec.queries_at_boundary.resize(spec.boundaries.size());
+  }
+  SyncChainMetadata();
 }
 
 void ValidateBuiltChain(const BuiltPlan& built, bool check_indexes) {

@@ -16,7 +16,7 @@
 //
 // On top of the primitives, AddQuery/RemoveQuery implement query churn for
 // chains built without selections (the setting in which Section 5.3
-// presents migration). The ChainMigrator operates between executor feed
+// presents migration). The ChainMigrator operates between scheduler feed
 // steps, when the plan is quiescent.
 #ifndef STATESLICE_CORE_MIGRATION_H_
 #define STATESLICE_CORE_MIGRATION_H_
@@ -58,8 +58,10 @@ class ChainMigrator {
                TimePoint results_from = 0);
 
   // Unregisters query `query_id`: detaches its result edges, gate, union
-  // and sinks. The slices it used remain (call MergeSlices to compact
-  // afterwards, as the paper suggests).
+  // and sinks. Slices other queries still read remain (call MergeSlices
+  // to compact afterwards, as the paper suggests); tail slices no
+  // remaining query reads are dropped with their state, so the chain ends
+  // at the widest remaining window.
   void RemoveQuery(int query_id);
 
  private:

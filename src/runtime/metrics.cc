@@ -29,17 +29,6 @@ double RunStats::ComparisonsPerVirtualSecond() const {
   return secs > 0 ? static_cast<double>(cost.Total()) / secs : 0.0;
 }
 
-double RunStats::SteadyComparisonsPerVirtualSecond() const {
-  if (cost_snapshot_time <= 0 || virtual_end_time <= cost_snapshot_time) {
-    return ComparisonsPerVirtualSecond();
-  }
-  const double secs =
-      TicksToSeconds(virtual_end_time - cost_snapshot_time);
-  const double steady = static_cast<double>(cost.Total()) -
-                        static_cast<double>(cost_at_snapshot.Total());
-  return steady / secs;
-}
-
 std::string RunStats::DebugString() const {
   std::ostringstream out;
   out << (mode == ExecutionMode::kParallel ? "parallel" : "deterministic")

@@ -148,7 +148,7 @@ void ParallelScheduler::BuildStages() {
 
 void ParallelScheduler::Start() {
   // Lifecycle methods run on the one thread that owns this scheduler (the
-  // Engine/Executor driver); workers are not launched yet.
+  // Engine driver); workers are not launched yet.
   caller_role_.Assert();
   SLICE_CHECK(!started_);
   SLICE_CHECK(plan_->started());
@@ -390,14 +390,6 @@ void ParallelScheduler::RunStage(Stage* stage, int stage_index) {
       // Futile until an upstream push or close lands.
       STATESLICE_SYNC_FUTILE("psched.idle");
       std::this_thread::yield();
-    }
-  }
-  if (options_.finish_at_end) {
-    // Mirror QueryPlan::FinishAll: Finish in topological order, draining
-    // (and relaying) the flush output between calls.
-    for (Operator* op : stage->ops) {
-      op->Finish();
-      DrainLocal(stage);
     }
   }
   RelayOutputs(stage);

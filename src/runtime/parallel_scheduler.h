@@ -25,10 +25,10 @@
 //     Operator::OnRun. Run buffers are stage-local (GUARDED_BY the stage
 //     role), so per-edge FIFO order is untouched.
 //  3. End of input propagates as a per-edge `closed` flag: when every input
-//     edge of a stage is closed and drained, the stage calls Finish() on
-//     its operators in topological order (flushing end-of-stream
-//     punctuations, exactly like QueryPlan::FinishAll), relays the flushed
-//     events, closes its own outgoing edges, and exits.
+//     edge of a stage is closed and drained, the stage closes its own
+//     outgoing edges and exits. Workers never call Operator::Finish: the
+//     end-of-stream flush (QueryPlan::FinishAll) is the caller's, after
+//     Join, when the plan is single-threaded again.
 //
 // Every operator is only ever executed by its stage's thread and every
 // EventQueue is only ever touched by one thread, so operator code needs no
@@ -72,19 +72,18 @@ struct ParallelSchedulerOptions {
   // Max events a stage pops from one input ring before relaying outputs
   // and visiting its next input.
   int quantum = 64;
-  // Whether to call Finish() on operators once input is exhausted
-  // (mirrors ExecutorOptions::finish_at_end).
-  bool finish_at_end = true;
 };
 
 // Drives a started QueryPlan with one thread per pipeline stage.
 //
-// Usage (the Executor wraps this; see ExecutionMode::kParallel):
+// Usage (Engine wraps this; see ExecutionMode::kParallel):
 //   ParallelScheduler sched(plan, {.num_workers = 4});
 //   sched.Start();
 //   for (...) sched.PushEntry(entry_queue, event);   // feeder thread
 //   sched.FinishInput();
 //   sched.Join();
+//   plan->FinishAll();  // end of stream: flush on the caller thread, then
+//                       // drain with a RoundRobinScheduler
 //
 // Thread roles (checked under Clang -Wthread-safety):
 //  - caller_role_: exactly one thread constructs the scheduler and calls
@@ -119,8 +118,8 @@ class ParallelScheduler {
   // PushEntry, but amortizes the ring traffic across the run.
   void PushEntryRun(EventQueue* entry, EventRun* run);
 
-  // Declares end of input: closes all entry edges. Workers drain, flush
-  // Finish() punctuations stage by stage, and exit.
+  // Declares end of input: closes all entry edges. Workers drain and
+  // exit; flushing end-of-stream punctuations is left to the caller.
   void FinishInput();
 
   // Waits for all workers to exit. Idempotent. After Join() the plan is

@@ -90,9 +90,9 @@ void QueryPlan::FinishAll() {
   // Flush-time composites draw tail storage from the plan arena like
   // scheduled ones do.
   ArenaScope arena_scope(&arena_);
-  // Finish in topological order; a Finish() may emit flush events that the
-  // executor drains between calls, but calling in topo order guarantees a
-  // single pass suffices when drains happen outside.
+  // Finish in topological order; a Finish() may emit flush events, and
+  // calling in topo order guarantees a single pass suffices when the caller
+  // drains afterwards.
   for (Operator* op : TopologicalOrder()) op->Finish();
 }
 

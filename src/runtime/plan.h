@@ -65,9 +65,9 @@ class QueryPlan {
   // operators. Must be called exactly once before execution.
   void Start();
 
-  // Calls Finish() on operators in topological order, then drains any
-  // events those flushes produced. Used by the executor at end-of-input.
-  // (Exposed for tests; most callers use Executor::Run.)
+  // Calls Finish() on operators in topological order (end of input). The
+  // flushed events stay queued: the caller drains them with a scheduler,
+  // as Engine::Finish does.
   void FinishAll();
 
   // Sum of StateSize() over all operators: the paper's state-memory metric.

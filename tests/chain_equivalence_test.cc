@@ -210,11 +210,7 @@ TEST(SliceDisjointnessTest, StatesArePairwiseDisjoint) {
   BuiltPlan built =
       BuildStateSlicePlan(queries, BuildMemOptChain(queries), options);
 
-  StreamSource source_a("A", workload.stream_a);
-  StreamSource source_b("B", workload.stream_b);
-  Executor exec(built.plan.get(),
-                {{&source_a, built.entry}, {&source_b, built.entry}});
-  exec.Run();
+  RunPlan(&built, workload);
 
   std::set<std::string> seen;
   for (const BuiltSlice& slice : built.slices) {

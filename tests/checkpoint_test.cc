@@ -139,6 +139,55 @@ void RoundTrip(Engine::Options options, std::vector<ContinuousQuery> queries,
   EXPECT_TRUE(restored.finished());
 }
 
+TEST(CheckpointTest, RestoresAfterWidestQueryRemovedInPlace) {
+  // Removing the widest query in place leaves the chain's tail slice with
+  // no reader; the removal drops that slice, so the snapshot taken next
+  // restores (instead of tripping the builder's "last boundary has
+  // queries" invariant) and the restored engine continues byte-identically.
+  Workload workload = SmallWorkload();
+  RekeyForEquiJoin(&workload, /*key_domain=*/8, /*key_seed=*/11);
+  const Engine::Options options = BaseOptions(workload);
+  Engine original(options);
+  const QueryHandle narrow = original.RegisterQuery(PlainQuery(1, "Q1"));
+  const QueryHandle wide = original.RegisterQuery(PlainQuery(2, "Q2"));
+  ASSERT_TRUE(narrow.valid() && wide.valid()) << original.last_error();
+  const std::vector<Tuple> merged = MergedArrivals(workload);
+  PushRange(&original, merged, 0, 20);
+  ASSERT_TRUE(original.UnregisterQuery(wide)) << original.last_error();
+  EXPECT_EQ(original.migrations(), 1u);  // in place, not a rebuild
+  ASSERT_EQ(original.ChainSlices().size(), 1u);
+  EXPECT_EQ(original.ChainSlices()[0].range.end,
+            SecondsToTicks(1.0));  // the unread [1 s, 2 s) slice is gone
+  original.CheckPlanInvariants();
+
+  std::string snapshot;
+  ASSERT_TRUE(original.Checkpoint(&snapshot)) << original.last_error();
+  Engine restored(options);
+  ASSERT_TRUE(restored.Restore(snapshot)) << restored.last_error();
+  restored.CheckPlanInvariants();
+
+  std::vector<std::string> restored_seq, original_seq;
+  ASSERT_TRUE(restored
+                  .Subscribe(narrow,
+                             [&restored_seq](const JoinResult& r) {
+                               restored_seq.push_back(JoinPairKey(r));
+                             })
+                  .valid());
+  ASSERT_TRUE(original
+                  .Subscribe(narrow,
+                             [&original_seq](const JoinResult& r) {
+                               original_seq.push_back(JoinPairKey(r));
+                             })
+                  .valid());
+  PushRange(&restored, merged, 20, merged.size());
+  PushRange(&original, merged, 20, merged.size());
+  restored.Finish();
+  original.Finish();
+  EXPECT_FALSE(original_seq.empty());
+  EXPECT_EQ(restored_seq, original_seq);
+  ExpectSameResults(&restored, &original, {narrow, wide});
+}
+
 TEST(CheckpointTest, RoundTripDeterministicMidStream) {
   const Workload workload = SmallWorkload(5);
   RoundTrip(BaseOptions(workload),

@@ -153,16 +153,26 @@ void RunChurnFuzz(uint64_t seed, ExecutionMode mode) {
     }
     const bool unregister = live >= 2 && rng.NextBounded(3) == 0;
     if (unregister) {
-      // Remove a random live query; its delivery freezes at the cutoff.
+      // Remove a random live query or, half the time, the widest one
+      // (whose in-place removal drops the chain's tail slice); its
+      // delivery freezes at the cutoff.
+      const bool widest = rng.NextBounded(2) == 0;
       size_t pick = rng.NextBounded(live);
+      TrackedQuery* victim = nullptr;
       for (TrackedQuery& t : tracked) {
         if (!engine->IsActive(t.handle)) continue;
-        if (pick-- > 0) continue;
-        ASSERT_TRUE(engine->UnregisterQuery(t.handle))
-            << engine->last_error();
-        t.removed_before = merged[pos].timestamp;
-        break;
+        if (widest) {
+          if (victim == nullptr ||
+              t.query.window.extent > victim->query.window.extent) {
+            victim = &t;
+          }
+        } else if (victim == nullptr && pick-- == 0) {
+          victim = &t;
+        }
       }
+      ASSERT_TRUE(engine->UnregisterQuery(victim->handle))
+          << engine->last_error();
+      victim->removed_before = merged[pos].timestamp;
     } else {
       TrackedQuery t;
       t.query = DrawQuery(&rng, config, ++serial);

@@ -18,6 +18,7 @@ namespace {
 
 using ::stateslice::testing::A;
 using ::stateslice::testing::OracleJoin;
+using ::stateslice::testing::RunPlan;
 using ::stateslice::testing::SegmentedOracle;
 using ::stateslice::testing::StrictIncreaseAt;
 
@@ -82,8 +83,66 @@ TEST(EngineTest, LifecycleMatchesOracle) {
             engine.ResultCount(h1) + engine.ResultCount(h2));
   EXPECT_GT(stats.events_processed, stats.input_tuples);
   EXPECT_GT(stats.cost.Total(), 0u);
-  EXPECT_FALSE(stats.memory_samples.empty());
   EXPECT_EQ(engine.rebuilds(), 0u);
+  // One memory sample per sample_interval of virtual time (0, 1 s, 2 s,
+  // ...) up to the last arrival, then the single teardown sample at the
+  // watermark.
+  const Duration interval = engine.options().sample_interval;
+  ASSERT_EQ(stats.memory_samples.size(),
+            static_cast<size_t>(engine.watermark() / interval) + 2);
+  for (size_t k = 0; k + 1 < stats.memory_samples.size(); ++k) {
+    EXPECT_EQ(stats.memory_samples[k].time,
+              static_cast<TimePoint>(k) * interval);
+  }
+  EXPECT_EQ(stats.memory_samples.back().time, engine.watermark());
+  EXPECT_EQ(stats.memory_samples.back().queue_events, 0u);
+}
+
+TEST(EngineTest, SnapshotCarriesPhysicalProbeCounters) {
+  // On an equi feed the indexed probe path does physical work the
+  // paper-unit counters never see; Snapshot must report it exactly as the
+  // same plan driven directly does.
+  Workload workload = SmallWorkload(5, 10);
+  RekeyForEquiJoin(&workload, /*key_domain=*/16, /*key_seed=*/99);
+  std::vector<ContinuousQuery> queries = {PlainQuery(2, "Q1"),
+                                          PlainQuery(5, "Q2")};
+  Engine engine(BaseOptions(workload));
+  for (const ContinuousQuery& q : queries) {
+    ASSERT_TRUE(engine.RegisterQuery(q).valid()) << engine.last_error();
+  }
+  const std::vector<Tuple> merged = MergedArrivals(workload);
+  PushRange(&engine, merged, 0, merged.size());
+  engine.Finish();
+  const RunStats stats = engine.Snapshot();
+
+  for (size_t i = 0; i < queries.size(); ++i) {
+    queries[i].id = static_cast<int>(i);
+  }
+  BuildOptions options;
+  options.condition = workload.condition;
+  BuiltPlan built =
+      BuildStateSlicePlan(queries, BuildMemOptChain(queries), options);
+  const RunStats direct = RunPlan(&built, merged);
+  EXPECT_GT(direct.cost.PhysicalTotal(), 0u);
+  for (const PhysCategory c : {PhysCategory::kKeyLookup,
+                               PhysCategory::kEntryVisit,
+                               PhysCategory::kIndexUpkeep}) {
+    EXPECT_EQ(stats.cost.GetPhysical(c), direct.cost.GetPhysical(c))
+        << CostCounters::Name(c);
+  }
+  EXPECT_EQ(stats.cost.Total(), direct.cost.Total());
+  EXPECT_EQ(stats.results_delivered, direct.results_delivered);
+}
+
+TEST(RunStatsTest, AvgAndMaxStateHelpers) {
+  RunStats stats;
+  stats.memory_samples = {{0, 10, 0}, {kTicksPerSecond, 20, 0},
+                          {2 * kTicksPerSecond, 30, 0}};
+  EXPECT_DOUBLE_EQ(stats.AvgStateTuples(), 20.0);
+  EXPECT_DOUBLE_EQ(stats.AvgStateTuples(kTicksPerSecond), 25.0);
+  EXPECT_EQ(stats.MaxStateTuples(), 30u);
+  EXPECT_DOUBLE_EQ(RunStats{}.AvgStateTuples(), 0.0);
+  EXPECT_NE(stats.DebugString().find("max_state=30"), std::string::npos);
 }
 
 TEST(EngineTest, CqlRegistrationAndErrors) {

@@ -2,7 +2,7 @@
 // must produce exactly the brute-force oracle's result multisets — the
 // naive nested windowed join over the full history — for every query of a
 // mixed 2/3/4-way workload, in deterministic and parallel modes, through
-// both the low-level builder/Executor path and the Engine facade.
+// both the low-level builder path (RunPlan) and the Engine facade.
 #include <gtest/gtest.h>
 
 #include <map>
@@ -17,6 +17,7 @@ namespace {
 using ::stateslice::testing::DrawMultiwayFuzzConfig;
 using ::stateslice::testing::FuzzConfig;
 using ::stateslice::testing::MultiwayOracle;
+using ::stateslice::testing::RunPlan;
 using ::stateslice::testing::StrictIncreaseAt;
 
 std::vector<const std::vector<Tuple>*> StreamPtrs(const MultiWorkload& w,
@@ -114,7 +115,7 @@ TEST(MultiwayEquivalence, AcceptanceWorkloadParallel) {
 }
 
 // Low-level path: BuildStateSlicePlan over random per-level partitions,
-// driven by the Executor (N sources merged into the entry queue).
+// driven by RunPlan (N streams merged into the entry queue).
 TEST(MultiwayEquivalence, BuilderFuzzAgainstOracle) {
   for (uint64_t seed = 1; seed <= 12; ++seed) {
     const int max_streams = 3 + static_cast<int>(seed % 2);
@@ -127,18 +128,7 @@ TEST(MultiwayEquivalence, BuilderFuzzAgainstOracle) {
     BuiltPlan built =
         BuildStateSlicePlan(config.queries, config.tree, options);
 
-    std::vector<StreamSource> sources;
-    sources.reserve(workload.streams.size());
-    for (size_t s = 0; s < workload.streams.size(); ++s) {
-      sources.emplace_back("S" + std::to_string(s), workload.streams[s]);
-    }
-    std::vector<SourceBinding> bindings;
-    for (StreamSource& source : sources) {
-      bindings.push_back(SourceBinding{&source, built.entry});
-    }
-    Executor exec(built.plan.get(), bindings);
-    for (CountingSink* sink : built.sinks) exec.AddSink(sink);
-    exec.Run();
+    RunPlan(&built, workload);
 
     for (const ContinuousQuery& q : config.queries) {
       const std::map<std::string, int> expected = MultiwayOracle(

@@ -51,12 +51,10 @@ TEST_P(ParallelEquivalenceTest, ParallelMatchesDeterministicAndOracle) {
 
   BuiltPlan parallel =
       BuildStateSlicePlan(config.queries, config.chain, options);
-  ExecutorOptions exec_options;
-  exec_options.mode = ExecutionMode::kParallel;
-  exec_options.worker_threads = 2 + static_cast<int>(GetParam() % 3);
   // Small rings on some seeds so backpressure paths get exercised too.
-  exec_options.parallel_edge_capacity = GetParam() % 2 == 0 ? 16 : 1024;
-  RunPlan(&parallel, workload, exec_options);
+  RunPlan(&parallel, workload, ExecutionMode::kParallel,
+          2 + static_cast<int>(GetParam() % 3),
+          GetParam() % 2 == 0 ? 16 : 1024);
 
   for (const ContinuousQuery& q : config.queries) {
     EXPECT_EQ(parallel.collectors[q.id]->ResultMultiset(),

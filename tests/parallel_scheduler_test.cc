@@ -5,7 +5,6 @@
 #include <memory>
 #include <string>
 
-#include "src/runtime/executor.h"
 #include "src/runtime/sink.h"
 #include "src/stateslice.h"
 #include "tests/test_util.h"
@@ -140,7 +139,7 @@ TEST(ParallelSchedulerTest, StagePartitionBalancesByWeight) {
   scheduler.Join();
 }
 
-TEST(ParallelSchedulerTest, FinishFlushPropagatesThroughStages) {
+TEST(ParallelSchedulerTest, WorkersLeaveTheFinishFlushToTheCaller) {
   QueryPlan plan;
   auto* flusher = plan.AddOperator(std::make_unique<FlushOnFinish>("flush"));
   auto* sink = plan.AddOperator(std::make_unique<CountingSink>("sink"));
@@ -153,24 +152,10 @@ TEST(ParallelSchedulerTest, FinishFlushPropagatesThroughStages) {
   scheduler.PushEntry(entry, A(1, 1.0));
   scheduler.FinishInput();
   scheduler.Join();
-  EXPECT_EQ(sink->tuple_count(), 2u);  // the event + the Finish flush
-}
-
-TEST(ParallelSchedulerTest, FinishAtEndFalseSkipsFlush) {
-  QueryPlan plan;
-  auto* flusher = plan.AddOperator(std::make_unique<FlushOnFinish>("flush"));
-  auto* sink = plan.AddOperator(std::make_unique<CountingSink>("sink"));
-  EventQueue* entry = plan.AddEntryQueue("entry", flusher, 0);
-  plan.Connect(flusher, 0, sink, 0);
-  plan.Start();
-
-  ParallelScheduler scheduler(&plan,
-                              {.num_workers = 2, .finish_at_end = false});
-  scheduler.Start();
-  scheduler.PushEntry(entry, A(1, 1.0));
-  scheduler.FinishInput();
-  scheduler.Join();
-  EXPECT_EQ(sink->tuple_count(), 1u);
+  EXPECT_EQ(sink->tuple_count(), 1u);  // workers never call Finish
+  plan.FinishAll();
+  RoundRobinScheduler(&plan).RunUntilQuiescent();
+  EXPECT_EQ(sink->tuple_count(), 2u);  // the caller-side flush delivers it
 }
 
 TEST(ParallelSchedulerTest, PlanReturnsToDeterministicModeAfterJoin) {
@@ -197,9 +182,9 @@ TEST(ParallelSchedulerDeathTest, PlanSurgeryForbiddenWhileParallel) {
   p->plan.EndExecution();
 }
 
-// --- Executor integration (ExecutionMode::kParallel) ---------------------
+// --- Whole plans (ExecutionMode::kParallel) --------------------------------
 
-TEST(ParallelExecutorTest, MatchesDeterministicOnSlicedChain) {
+TEST(ParallelPlanTest, MatchesDeterministicOnSlicedChain) {
   const std::vector<ContinuousQuery> queries = {
       {0, "Q1", WindowSpec::TimeSeconds(1), {}, {}},
       {1, "Q2", WindowSpec::TimeSeconds(2.5), {}, {}},
@@ -222,10 +207,8 @@ TEST(ParallelExecutorTest, MatchesDeterministicOnSlicedChain) {
 
   BuiltPlan parallel =
       BuildStateSlicePlan(queries, BuildMemOptChain(queries), options);
-  ExecutorOptions exec_options;
-  exec_options.mode = ExecutionMode::kParallel;
-  exec_options.worker_threads = 3;
-  const RunStats par_stats = RunPlan(&parallel, workload, exec_options);
+  const RunStats par_stats =
+      RunPlan(&parallel, workload, ExecutionMode::kParallel, 3);
   EXPECT_EQ(par_stats.mode, ExecutionMode::kParallel);
   EXPECT_GE(par_stats.worker_threads, 1);
   EXPECT_EQ(par_stats.input_tuples, ref_stats.input_tuples);
@@ -250,7 +233,7 @@ TEST(ParallelExecutorTest, MatchesDeterministicOnSlicedChain) {
   }
 }
 
-TEST(ParallelExecutorTest, DefaultWorkerCountRuns) {
+TEST(ParallelPlanTest, DefaultWorkerCountRuns) {
   const std::vector<ContinuousQuery> queries = {
       {0, "Q1", WindowSpec::TimeSeconds(2), {}, {}},
   };
@@ -263,14 +246,12 @@ TEST(ParallelExecutorTest, DefaultWorkerCountRuns) {
   options.condition = workload.condition;
   BuiltPlan built =
       BuildStateSlicePlan(queries, BuildMemOptChain(queries), options);
-  ExecutorOptions exec_options;
-  exec_options.mode = ExecutionMode::kParallel;
-  exec_options.worker_threads = 0;  // hardware_concurrency
-  const RunStats stats = RunPlan(&built, workload, exec_options);
+  const RunStats stats = RunPlan(&built, workload, ExecutionMode::kParallel,
+                                /*workers=*/0);  // hardware default
   EXPECT_GE(stats.worker_threads, 1);
   EXPECT_EQ(stats.input_tuples, workload.stream_a.size() +
                                     workload.stream_b.size());
-  // One end-of-run memory sample, with all queues drained.
+  // One closing memory sample, with all queues drained.
   ASSERT_EQ(stats.memory_samples.size(), 1u);
   EXPECT_EQ(stats.memory_samples[0].queue_events, 0u);
 }

@@ -398,13 +398,7 @@ TEST(ParserTest, ParsedMultiwayQueryRunsEndToEnd) {
   options.collect_results = true;
   BuiltPlan built =
       BuildStateSlicePlan(queries, BuildMemOptTree(queries), options);
-  StreamSource sa("A", workload.streams[0]);
-  StreamSource sb("B", workload.streams[1]);
-  StreamSource sc("C", workload.streams[2]);
-  Executor exec(built.plan.get(), {{&sa, built.entry},
-                                   {&sb, built.entry},
-                                   {&sc, built.entry}});
-  exec.Run();
+  testing::RunPlan(&built, workload);
   EXPECT_EQ(built.collectors[0]->ResultMultiset(),
             testing::MultiwayOracle(
                 {&workload.streams[0], &workload.streams[1],

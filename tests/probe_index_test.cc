@@ -183,10 +183,8 @@ TEST_P(PlanEquivalenceTest, IndexedMatchesNestedLoopAndOracle) {
   options.use_key_index = true;
   BuiltPlan parallel = BuildStateSlicePlan(config.queries, config.chain,
                                            options);
-  ExecutorOptions exec_options;
-  exec_options.mode = ExecutionMode::kParallel;
-  exec_options.worker_threads = 2 + static_cast<int>(seed % 3);
-  RunPlan(&parallel, workload, exec_options);
+  RunPlan(&parallel, workload, ExecutionMode::kParallel,
+          2 + static_cast<int>(seed % 3));
 
   // The paper-unit cost counters must not notice the index at all.
   for (const CostCategory cat :
@@ -388,18 +386,7 @@ TEST(MultiwayIndexTest, ThreeWayEquiTreeMatchesNestedLoopAndOracle) {
       tree.levels.push_back(std::move(plan));
     }
     BuiltPlan built = BuildStateSlicePlan(queries, tree, options);
-    std::vector<StreamSource> sources;
-    sources.reserve(workload.streams.size());
-    for (size_t s = 0; s < workload.streams.size(); ++s) {
-      sources.emplace_back("S" + std::to_string(s), workload.streams[s]);
-    }
-    std::vector<SourceBinding> bindings;
-    for (StreamSource& source : sources) {
-      bindings.push_back(SourceBinding{&source, built.entry});
-    }
-    Executor exec(built.plan.get(), bindings);
-    for (CountingSink* sink : built.sinks) exec.AddSink(sink);
-    exec.Run();
+    RunPlan(&built, workload);
     return built;
   };
 

@@ -6,6 +6,7 @@
 #include <cstdlib>
 #include <map>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "src/stateslice.h"
@@ -111,19 +112,74 @@ inline std::map<std::string, int> OracleJoin(
   return MultiwayOracle({&stream_a, &stream_b}, cond, q);
 }
 
-// Runs a built plan over the workload and returns the stats. Sinks are
-// registered automatically.
-inline RunStats RunPlan(BuiltPlan* built, const Workload& workload,
-                        ExecutorOptions options = {}) {
-  StreamSource source_a("A", workload.stream_a);
-  StreamSource source_b("B", workload.stream_b);
-  Executor exec(built->plan.get(),
-                {{&source_a, built->entry}, {&source_b, built->entry}},
-                options);
-  for (CountingSink* sink : built->sinks) {
-    if (sink != nullptr) exec.AddSink(sink);
+// Drives a built plan directly over a globally ordered arrival feed — the
+// harness for plans Engine does not build (hand-drawn partitions, the
+// nested-loop reference arm, per-operator inspection). kDeterministic
+// processes each arrival to quiescence on the round-robin scheduler and
+// samples state memory once per virtual second, as Engine does; kParallel
+// feeds the pipeline scheduler (`workers` stages, 0 = hardware default;
+// `ring_capacity`-event rings). Both end like Engine::Finish: one closing
+// memory sample, then FinishAll flushes held results. Sinks are counted
+// automatically.
+inline RunStats RunPlan(BuiltPlan* built, const std::vector<Tuple>& feed,
+                        ExecutionMode mode = ExecutionMode::kDeterministic,
+                        int workers = 0, size_t ring_capacity = 256) {
+  QueryPlan* plan = built->plan.get();
+  RunStats stats;
+  stats.mode = mode;
+  stats.input_tuples = feed.size();
+  stats.virtual_end_time = feed.empty() ? 0 : feed.back().timestamp;
+  if (mode == ExecutionMode::kParallel) {
+    const unsigned hw = std::thread::hardware_concurrency();  // may be 0
+    ParallelScheduler scheduler(
+        plan, {.num_workers = workers > 0
+                                  ? workers
+                                  : static_cast<int>(hw > 1 ? hw - 1 : 1),
+               .edge_capacity = ring_capacity});
+    scheduler.Start();
+    for (const Tuple& t : feed) scheduler.PushEntry(built->entry, t);
+    scheduler.FinishInput();
+    scheduler.Join();
+    stats.worker_threads = scheduler.num_stages();
+    stats.events_processed = scheduler.total_processed();
+    stats.parallel_edge_events = scheduler.edges_total_pushed();
+  } else {
+    RoundRobinScheduler scheduler(plan);
+    TimePoint next_sample = 0;
+    for (const Tuple& t : feed) {
+      for (; t.timestamp >= next_sample; next_sample += kTicksPerSecond) {
+        stats.memory_samples.push_back(MemorySample{
+            next_sample, plan->TotalStateSize(), plan->TotalQueueSize()});
+      }
+      built->entry->Push(t);
+      scheduler.RunUntilQuiescent();
+    }
+    stats.events_processed = scheduler.total_processed();
   }
-  return exec.Run();
+  stats.memory_samples.push_back(MemorySample{
+      stats.virtual_end_time, plan->TotalStateSize(), plan->TotalQueueSize()});
+  plan->FinishAll();
+  RoundRobinScheduler flush(plan);
+  stats.events_processed += flush.RunUntilQuiescent();
+  stats.cost = plan->cost_counters();
+  for (const CountingSink* sink : built->sinks) {
+    if (sink != nullptr) stats.results_delivered += sink->result_count();
+  }
+  return stats;
+}
+
+inline RunStats RunPlan(BuiltPlan* built, const Workload& workload,
+                        ExecutionMode mode = ExecutionMode::kDeterministic,
+                        int workers = 0, size_t ring_capacity = 256) {
+  return RunPlan(built, MergedArrivals(workload), mode, workers,
+                 ring_capacity);
+}
+
+inline RunStats RunPlan(BuiltPlan* built, const MultiWorkload& workload,
+                        ExecutionMode mode = ExecutionMode::kDeterministic,
+                        int workers = 0, size_t ring_capacity = 256) {
+  return RunPlan(built, MergedArrivals(workload), mode, workers,
+                 ring_capacity);
 }
 
 // A random query workload + chain partition drawn from a seed. Shared by

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <vector>
 
 namespace stateslice {
 namespace {
@@ -98,6 +99,26 @@ TEST(GenerateWorkloadTest, FixedRateModeIsEvenlySpaced) {
   for (size_t i = 2; i < w.stream_a.size(); ++i) {
     EXPECT_EQ(w.stream_a[i].timestamp - w.stream_a[i - 1].timestamp, gap);
   }
+}
+
+TEST(MergedArrivalsTest, GloballyOrderedWithStreamOrderOnTies) {
+  // The one arrival feed benches and tests replay: every tuple of both
+  // streams, in timestamp order, and stream A first on equal timestamps.
+  WorkloadSpec spec;
+  spec.duration_s = 5;
+  spec.poisson = false;  // fixed rate: both streams tie at every step
+  const Workload w = GenerateWorkload(spec);
+  const std::vector<Tuple> merged = MergedArrivals(w);
+  ASSERT_EQ(merged.size(), w.stream_a.size() + w.stream_b.size());
+  int ties = 0;
+  for (size_t i = 1; i < merged.size(); ++i) {
+    ASSERT_LE(merged[i - 1].timestamp, merged[i].timestamp);
+    if (merged[i - 1].timestamp == merged[i].timestamp) {
+      EXPECT_LT(merged[i - 1].side, merged[i].side);
+      ++ties;
+    }
+  }
+  EXPECT_GT(ties, 0);
 }
 
 TEST(Section72WindowsTest, MatchesTable3) {
